@@ -111,12 +111,15 @@ std::vector<PageId> BufferPool::QuarantinedPages() const {
 void BufferPool::ClearQuarantine() {
   for (size_t i = 0; i < num_buckets_; ++i) {
     xo::MutexLock lock(&buckets_[i].mu);
+    quarantined_count_.fetch_sub(buckets_[i].quarantined.size(),
+                                 std::memory_order_relaxed);
     buckets_[i].quarantined.clear();
   }
 }
 
 void BufferPool::QuarantineLocked(Bucket& b, PageId id) {
   if (!b.quarantined.insert(id).second) return;
+  quarantined_count_.fetch_add(1, std::memory_order_relaxed);
   if (b.health != nullptr) {
     // EngineHealth's mutex is a leaf below the bucket rank, so reporting
     // from under the latch cannot invert the hierarchy.

@@ -1,6 +1,7 @@
 #ifndef XORATOR_ORDB_BUFFER_POOL_H_
 #define XORATOR_ORDB_BUFFER_POOL_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
@@ -262,6 +263,11 @@ class BufferPool {
   /// Snapshot of the quarantined page ids (unordered), across all buckets.
   [[nodiscard]] std::vector<PageId> QuarantinedPages() const;
 
+  /// stats().quarantined_pages without taking a latch (a relaxed read).
+  [[nodiscard]] uint64_t quarantined_page_count() const {
+    return quarantined_count_.load(std::memory_order_relaxed);
+  }
+
   /// Empties every bucket's quarantine set. Called by Database::TryRecover
   /// after WAL recovery restored pre-images (the pages will be re-verified
   /// on their next fetch, and re-quarantined if still bad).
@@ -368,6 +374,9 @@ class BufferPool {
   /// The bucket shards, fixed at construction. A contiguous array so that
   /// index order and address order agree (see Bucket).
   const std::unique_ptr<Bucket[]> buckets_;
+
+  /// Sum of the buckets' quarantine set sizes (quarantined_page_count()).
+  std::atomic<uint64_t> quarantined_count_{0};
 
   /// Serializes all Pager access (I/O, allocation, page_count): the Pager
   /// is not internally synchronized, and before sharding it inherited

@@ -398,7 +398,7 @@ Result<QueryResult> Database::RunSelect(const sql::SelectStmt& stmt,
   // Resilience stats line (DESIGN.md §13), appended only when there is
   // something to report so healthy-engine plan text stays byte-identical.
   const HealthSnapshot hs = health_.Snapshot();
-  const uint64_t quarantined = pool_->stats().quarantined_pages;
+  const uint64_t quarantined = pool_->quarantined_page_count();
   if (skip_quarantined || hs.state != HealthState::kHealthy ||
       quarantined > 0) {
     result.plan += "\nresilience: health=";

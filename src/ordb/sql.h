@@ -129,7 +129,7 @@ struct Statement {
 /// Coarse statement class, decidable from the leading keyword without a
 /// full parse. The network front end (src/server) uses this at admission
 /// time to shed mutations fast while the engine is latched read-only —
-/// before the statement spends a queue slot or a worker thread
+/// before the statement spends a queue slot or an execution slot
 /// (DESIGN.md section 17).
 enum class StatementClass {
   /// SELECT / EXPLAIN: takes the statement lock shared, never mutates.

@@ -214,8 +214,11 @@ Status ReadFull(const Socket& socket, std::string* buf, size_t n,
                 const Deadline& deadline) {
   buf->resize(n);
   size_t got = 0;
-  while (got < n) {
-    RETURN_IF_ERROR(PollFor(socket.fd(), POLLIN, deadline));
+  // Here and in WriteFull the syscall comes first and poll() only after a
+  // short or would-block call: a frame that already arrived costs one
+  // syscall. Every wait honours the deadline.
+  for (bool wait = false; got < n; wait = true) {
+    if (wait) RETURN_IF_ERROR(PollFor(socket.fd(), POLLIN, deadline));
     const ssize_t rc = ::recv(socket.fd(), &(*buf)[got], n - got, 0);
     if (rc > 0) {
       got += static_cast<size_t>(rc);
@@ -242,8 +245,8 @@ Status ReadFull(const Socket& socket, std::string* buf, size_t n,
 Status WriteFull(const Socket& socket, std::string_view data,
                  const Deadline& deadline) {
   size_t sent = 0;
-  while (sent < data.size()) {
-    RETURN_IF_ERROR(PollFor(socket.fd(), POLLOUT, deadline));
+  for (bool wait = false; sent < data.size(); wait = true) {
+    if (wait) RETURN_IF_ERROR(PollFor(socket.fd(), POLLOUT, deadline));
     const ssize_t rc = ::send(socket.fd(), data.data() + sent,
                               data.size() - sent, MSG_NOSIGNAL);
     if (rc > 0) {

@@ -1,30 +1,34 @@
 #include "server/server.h"
 
+#include <algorithm>
+#include <iterator>
 #include <utility>
 
 #include "ordb/health.h"
 #include "ordb/sql.h"
+#include "xadt/xadt.h"
 
 namespace xorator::server {
 
 namespace {
 
-/// Acceptor poll granularity: how often the accept loop wakes to check for
-/// shutdown and reap finished connection threads.
-constexpr int64_t kAcceptTickMillis = 50;
-
-/// Connection-thread poll granularity while its statement is queued or
-/// running: each tick re-checks completion and probes the socket for a
-/// client disconnect.
+/// The acceptor's tick (how often it checks for shutdown, reaps finished
+/// connection threads and probes busy connections for a client disconnect)
+/// and Shutdown's drain poll granularity.
 constexpr int64_t kDisconnectProbeMillis = 20;
 
-/// Shutdown drain poll granularity.
-constexpr int64_t kDrainTickMillis = 20;
+/// Longest single slot wait (keeps the wait's clock arithmetic in range).
+constexpr int64_t kMaxSlotWaitMillis = 60'000;
 
-/// Renders a QueryResult into the wire shape (values become their display
-/// strings; the examples and tests want text anyway, and it keeps the
-/// protocol free of the engine's type system).
-ResultPayload RenderResult(const ordb::QueryResult& result) {
+/// Execution slots: statements inside the engine at once.
+size_t SlotCount(const ServerOptions& options) {
+  return std::max<size_t>(options.worker_threads, 1);
+}
+
+/// Renders a QueryResult into the wire shape: display strings, an XADT
+/// value as its XML text (the examples and tests want text, and it keeps the
+/// protocol free of the engine's type system). Fails on a corrupt fragment.
+Result<ResultPayload> RenderResult(const ordb::QueryResult& result) {
   ResultPayload payload;
   payload.columns = result.columns;
   payload.rows.reserve(result.rows.size());
@@ -32,12 +36,24 @@ ResultPayload RenderResult(const ordb::QueryResult& result) {
     std::vector<std::string> rendered;
     rendered.reserve(row.size());
     for (const ordb::Value& value : row) {
-      rendered.push_back(value.ToString());
+      if (value.type() == ordb::TypeId::kXadt) {
+        ASSIGN_OR_RETURN(std::string xml, xadt::ToXmlString(value.AsString()));
+        rendered.push_back(std::move(xml));
+      } else {
+        rendered.push_back(value.ToString());
+      }
     }
     payload.rows.push_back(std::move(rendered));
   }
   payload.plan = result.plan;
   return payload;
+}
+
+/// Milliseconds since `since`.
+int64_t MillisSince(std::chrono::steady_clock::time_point since) {
+  return std::chrono::duration_cast<std::chrono::milliseconds>(
+             std::chrono::steady_clock::now() - since)
+      .count();
 }
 
 /// Encodes the frame for `result`, downgrading an over-cap result to a
@@ -63,12 +79,6 @@ Result<std::unique_ptr<Server>> Server::Start(ordb::Database* db,
       server->listener_,
       Listen(options.port, static_cast<int>(options.max_connections) + 16));
   ASSIGN_OR_RETURN(server->port_, BoundPort(server->listener_));
-  const size_t workers =
-      options.worker_threads == 0 ? 1 : options.worker_threads;
-  server->workers_.reserve(workers);
-  for (size_t i = 0; i < workers; ++i) {
-    server->workers_.emplace_back([s = server.get()] { s->WorkerLoop(); });
-  }
   server->acceptor_ = std::thread([s = server.get()] { s->AcceptLoop(); });
   return server;
 }
@@ -83,28 +93,26 @@ void Server::AcceptLoop() {
     std::vector<std::unique_ptr<Connection>> finished;
     {
       xo::MutexLock lock(&mu_);
-      if (draining_) break;
-      for (auto it = connections_.begin(); it != connections_.end();) {
-        if ((*it)->finished.load(std::memory_order_acquire)) {
-          finished.push_back(std::move(*it));
-          it = connections_.erase(it);
-        } else {
-          ++it;
-        }
-      }
+      if (stopping_) break;
+      auto done = std::partition(
+          connections_.begin(), connections_.end(), [](const auto& conn) {
+            return !conn->finished.load(std::memory_order_acquire);
+          });
+      std::move(done, connections_.end(), std::back_inserter(finished));
+      connections_.erase(done, connections_.end());
     }
     for (const std::unique_ptr<Connection>& conn : finished) {
       conn->thread.join();
     }
+    CancelDisconnected();
 
     Result<Socket> accepted =
-        Accept(listener_, Deadline::After(kAcceptTickMillis));
+        Accept(listener_, Deadline::After(kDisconnectProbeMillis));
     if (!accepted.ok()) {
-      // The deadline is the idle tick; any other error (the listener going
-      // away under Shutdown) is re-checked against draining_ at the top.
+      // The deadline is the idle tick; back off on any other error.
       if (accepted.status().code() != StatusCode::kDeadlineExceeded) {
         std::this_thread::sleep_for(
-            std::chrono::milliseconds(kAcceptTickMillis));
+            std::chrono::milliseconds(kDisconnectProbeMillis));
       }
       continue;
     }
@@ -113,11 +121,12 @@ void Server::AcceptLoop() {
     // Admission and thread spawn in one critical section: the thread
     // handle is only ever written here and joined by a thread that
     // acquired mu_ afterwards, so the handle itself is race-free.
-    bool admit = false;
+    Status rejection = Status::OK();
     {
       xo::MutexLock lock(&mu_);
-      if (!draining_ && stats_.active_connections < options_.max_connections) {
-        admit = true;
+      if (draining_) {
+        rejection = Status::Unavailable("server is shutting down");
+      } else if (stats_.active_connections < options_.max_connections) {
         ++stats_.connections_accepted;
         ++stats_.active_connections;
         auto conn = std::make_unique<Connection>();
@@ -130,19 +139,45 @@ void Server::AcceptLoop() {
         connections_.push_back(std::move(conn));
       } else {
         ++stats_.connections_rejected;
+        rejection = Status::ResourceExhausted("server connection limit reached")
+                        .WithRetryAfter(options_.retry_after_millis);
       }
     }
-    if (!admit) {
+    if (!rejection.ok()) {
       // Fast rejection: one small error frame, then close. The short
       // deadline keeps a peer that will not even read a 40-byte frame from
       // stalling the acceptor.
-      const std::string frame = EncodeError(ErrorFromStatus(
-          Status::ResourceExhausted("server connection limit reached")
-              .WithRetryAfter(options_.retry_after_millis)));
+      const std::string frame = EncodeError(ErrorFromStatus(rejection));
       XO_DISCARD_STATUS(WriteFull(socket, frame, Deadline::After(100)),
                         "rejected peer may already be gone");
-      continue;
     }
+  }
+}
+
+void Server::CancelDisconnected() {
+  std::vector<uint64_t> cancels;
+  {
+    // The probes are non-blocking, so they may run under the lock; the
+    // engine calls below may not.
+    xo::MutexLock lock(&mu_);
+    bool wake = false;
+    for (const auto& [id, task] : tasks_) {
+      if (!task->cancel_requested && PeerDisconnected(task->conn->socket)) {
+        task->cancel_requested = true;
+        task->abandoned = true;
+        ++stats_.cancelled_on_disconnect;
+        wake = wake || !task->running;
+      }
+      if (task->cancel_requested && task->running) cancels.push_back(id);
+    }
+    if (wake) slot_cv_.SignalAll();  // a waiter answers without running
+  }
+  // Cancel only touches the engine's leaf guard registry and never blocks;
+  // NotFound means the statement is not registered yet (the next tick
+  // re-fires) or already finished.
+  for (uint64_t id : cancels) {
+    Status cancelled = db_->Cancel(id);
+    cancelled.IgnoreError();
   }
 }
 
@@ -156,86 +191,61 @@ void Server::ServeConnection(Connection* conn) {
     if (!read.ok()) {
       // kUnavailable = clean close between frames; anything else is a
       // truncated or failed header read.
-      if (read.code() != StatusCode::kUnavailable) {
-        xo::MutexLock lock(&mu_);
-        ++stats_.malformed_frames;
-      }
+      if (read.code() != StatusCode::kUnavailable) CountMalformedFrame();
       break;
     }
     Result<FrameHeader> header = DecodeFrameHeader(header_bytes);
-    if (!header.ok()) {
-      // A desynced byte stream cannot be re-synced; answer with the parse
-      // error and close.
-      {
-        xo::MutexLock lock(&mu_);
-        ++stats_.malformed_frames;
-      }
-      SendError(conn, header.status());
-      break;
-    }
     std::string payload;
-    if (header->payload_bytes > 0) {
+    if (header.ok() && header->payload_bytes > 0) {
       read = ReadFull(conn->socket, &payload, header->payload_bytes,
                       Deadline::After(options_.io_timeout_millis));
       if (!read.ok()) {
-        xo::MutexLock lock(&mu_);
-        ++stats_.malformed_frames;
+        CountMalformedFrame();
         break;
       }
     }
-
-    bool keep_serving = true;
-    switch (header->type) {
-      case FrameType::kQuery:
-      case FrameType::kExecute: {
-        Result<QueryRequest> request =
-            DecodeQueryRequest(payload, header->flags);
-        if (!request.ok()) {
-          {
-            xo::MutexLock lock(&mu_);
-            ++stats_.malformed_frames;
-          }
-          SendError(conn, request.status());
-          keep_serving = false;
-          break;
-        }
-        HandleStatement(conn, header->type, std::move(request).value());
-        break;
-      }
-      case FrameType::kCancel: {
-        Result<CancelRequest> request = DecodeCancelRequest(payload);
-        if (!request.ok()) {
-          {
-            xo::MutexLock lock(&mu_);
-            ++stats_.malformed_frames;
-          }
-          SendError(conn, request.status());
-          keep_serving = false;
-          break;
-        }
-        HandleCancel(conn, request.value());
-        break;
-      }
-      case FrameType::kStats:
-        HandleStats(conn);
-        break;
-      default: {
-        // A response frame type arriving as a request.
-        {
-          xo::MutexLock lock(&mu_);
-          ++stats_.malformed_frames;
-        }
-        SendError(conn,
-                  Status::ParseError("response frame type sent as a request"));
-        keep_serving = false;
-        break;
-      }
+    // A frame that does not decode is counted and answered with its parse
+    // error, and the connection closes: a desynced byte stream cannot be
+    // re-synced.
+    Status served = header.status();
+    if (served.ok()) served = ServeFrame(conn, *header, payload);
+    if (!served.ok()) {
+      CountMalformedFrame();
+      SendError(conn, served);
+      break;
     }
-    if (!keep_serving) break;
   }
   xo::MutexLock lock(&mu_);
   --stats_.active_connections;
   ++stats_.connections_closed;
+}
+
+Status Server::ServeFrame(Connection* conn, const FrameHeader& header,
+                          const std::string& payload) {
+  switch (header.type) {
+    case FrameType::kQuery:
+    case FrameType::kExecute: {
+      ASSIGN_OR_RETURN(QueryRequest request,
+                       DecodeQueryRequest(payload, header.flags));
+      HandleStatement(conn, header.type, std::move(request));
+      return Status::OK();
+    }
+    case FrameType::kCancel: {
+      ASSIGN_OR_RETURN(CancelRequest request, DecodeCancelRequest(payload));
+      HandleCancel(conn, request);
+      return Status::OK();
+    }
+    case FrameType::kStats:
+      HandleStats(conn);
+      return Status::OK();
+    default:
+      return Status::ParseError("response frame type sent as a request");
+  }
+}
+
+void Server::CountMalformedFrame() {
+  xo::MutexLock lock(&mu_);
+  ++stats_.malformed_frames;
 }
 
 void Server::HandleStatement(Connection* conn, FrameType type,
@@ -257,17 +267,17 @@ void Server::HandleStatement(Connection* conn, FrameType type,
     }
   }
 
-  auto task = std::make_shared<Task>();
-  task->type = type;
-  task->request = std::move(request);
+  Task task{.type = type, .request = std::move(request), .conn = conn};
 
   Status rejection = Status::OK();
+  bool cancelled = false;
   {
     xo::MutexLock lock(&mu_);
     if (draining_) {
       ++stats_.statements_rejected_draining;
       rejection = Status::Unavailable("server is shutting down");
-    } else if (queue_.size() >= options_.max_queue_depth) {
+    } else if (running_ >= SlotCount(options_) &&
+               stats_.queue_depth >= options_.max_queue_depth) {
       // Admission control: reject fast instead of queuing into collapse.
       ++stats_.statements_rejected_queue;
       rejection =
@@ -276,20 +286,16 @@ void Server::HandleStatement(Connection* conn, FrameType type,
                                     " statements queued)")
               .WithRetryAfter(options_.retry_after_millis);
     } else {
-      task->server_query_id = next_server_query_id_++;
-      task->admitted_at = std::chrono::steady_clock::now();
+      task.server_query_id = next_server_query_id_++;
+      task.admitted_at = std::chrono::steady_clock::now();
       ++stats_.statements_admitted;
       ++in_flight_;
-      queue_.push_back(task);
-      stats_.queue_depth = queue_.size();
-      if (stats_.queue_depth > stats_.peak_queue_depth) {
-        stats_.peak_queue_depth = stats_.queue_depth;
+      tasks_[task.server_query_id] = &task;
+      if (task.request.query_id != 0) {
+        by_client_id_[task.request.query_id] = &task;
       }
-      tasks_[task->server_query_id] = task;
-      if (task->request.query_id != 0) {
-        by_client_id_[task->request.query_id] = task;
-      }
-      work_cv_.Signal();
+      AcquireSlotLocked(&task);
+      cancelled = task.cancel_requested;
     }
   }
   if (!rejection.ok()) {
@@ -297,47 +303,65 @@ void Server::HandleStatement(Connection* conn, FrameType type,
     return;
   }
 
-  // Wait for the worker, watching the socket: a client that disconnects
-  // mid-query gets its statement cancelled instead of burning a worker for
-  // nobody.
-  bool probe_disconnect = true;
-  for (;;) {
-    bool fire_cancel = false;
-    {
-      xo::MutexLock lock(&mu_);
-      if (task->done) break;
-      if (probe_disconnect && !task->cancel_requested &&
-          PeerDisconnected(conn->socket)) {
-        task->cancel_requested = true;
-        task->abandoned = true;
-        probe_disconnect = false;
-        fire_cancel = true;
-        ++stats_.cancelled_on_disconnect;
-      }
-      if (!fire_cancel) {
-        // Wake on the completion broadcast or the next disconnect probe
-        // tick; spurious wakeups just re-run the checks.
-        done_cv_.WaitFor(&mu_, kDisconnectProbeMillis);
-        continue;
-      }
-    }
-    // Engine call outside the server lock (class comment). Cancel only
-    // touches the engine's leaf guard registry and never blocks; NotFound
-    // means the task is still queued (the worker honors cancel_requested
-    // at pickup) or already finished.
-    Status cancelled = db_->Cancel(task->server_query_id);
-    cancelled.IgnoreError();
+  TaskOutcome outcome;
+  if (cancelled) {
+    outcome.frame = EncodeError(
+        ErrorFromStatus(Status::Cancelled("statement cancelled while queued")));
+  } else {
+    outcome = RunTask(task);
   }
 
-  std::string response;
+  // `running` is only ever written by this thread, so reading it outside
+  // the lock is race-free.
   bool abandoned;
   {
     xo::MutexLock lock(&mu_);
-    response = std::move(task->response);
-    abandoned = task->abandoned || response.empty();
+    if (task.running) --running_;
+    ++(outcome.ok ? stats_.statements_ok : stats_.statements_error);
+    tasks_.erase(task.server_query_id);
+    auto it = by_client_id_.find(task.request.query_id);
+    if (it != by_client_id_.end() && it->second == &task) {
+      by_client_id_.erase(it);
+    }
+    --in_flight_;
+    abandoned = task.abandoned;
+    if (draining_) {
+      // Shutdown waits on the same condition variable for in_flight_ to
+      // reach zero; a lone Signal could wake it instead of a slot waiter.
+      slot_cv_.SignalAll();
+    } else if (running_ < SlotCount(options_) && stats_.queue_depth > 0) {
+      // Hand the free slot on (also when this task never ran: it may have
+      // consumed the wakeup meant for a waiter).
+      slot_cv_.Signal();
+    }
   }
   if (!abandoned) {
-    SendFrame(conn, response);
+    SendFrame(conn, outcome.frame);
+  }
+}
+
+void Server::AcquireSlotLocked(Task* task) {
+  const size_t slots = SlotCount(options_);
+  if (running_ >= slots) {
+    ++stats_.queue_depth;
+    stats_.peak_queue_depth =
+        std::max(stats_.peak_queue_depth, stats_.queue_depth);
+    const auto deadline = static_cast<int64_t>(task->request.deadline_millis);
+    while (!task->cancel_requested && running_ >= slots) {
+      int64_t wait = kMaxSlotWaitMillis;
+      if (task->request.deadline_millis > 0) {
+        // The same test as RunTask's, so both agree the deadline expired.
+        const int64_t waited = MillisSince(task->admitted_at);
+        if (waited >= deadline) break;
+        wait = std::min(wait, deadline - waited);
+      }
+      slot_cv_.WaitFor(&mu_, wait);
+    }
+    --stats_.queue_depth;
+  }
+  if (!task->cancel_requested && running_ < slots) {
+    ++running_;
+    task->running = true;
   }
 }
 
@@ -349,6 +373,8 @@ void Server::HandleCancel(Connection* conn, const CancelRequest& request) {
     if (it != by_client_id_.end()) {
       it->second->cancel_requested = true;
       server_id = it->second->server_query_id;
+      // A waiting statement wakes and answers kCancelled without running.
+      slot_cv_.SignalAll();
     }
   }
   if (server_id == 0) {
@@ -356,8 +382,8 @@ void Server::HandleCancel(Connection* conn, const CancelRequest& request) {
                                      std::to_string(request.query_id)));
     return;
   }
-  // Reaches the statement if it is already running; a still-queued one is
-  // covered by the cancel_requested flag the worker checks at pickup.
+  // Reaches a running statement; one not registered with the engine yet
+  // gets the cancel re-fired by the acceptor's next tick.
   Status cancelled = db_->Cancel(server_id);
   cancelled.IgnoreError();
   SendFrame(conn, EncodeResultOrError(ResultPayload{}));
@@ -391,95 +417,47 @@ void Server::HandleStats(Connection* conn) {
   SendFrame(conn, EncodeStats(stats));
 }
 
-Server::TaskOutcome Server::RunTask(Task* task) {
-  // The deadline is measured from admission: queue wait counts against the
-  // budget, and a statement that died in the queue is answered without
-  // touching the engine — an overloaded server drains its backlog at
-  // rejection speed, not service speed.
+Server::TaskOutcome Server::RunTask(const Task& task) {
+  // The deadline is measured from admission: slot wait counts against the
+  // budget, and a statement that died waiting (the only way here without a
+  // slot) is answered without touching the engine — an overloaded server
+  // drains its backlog at rejection speed, not service speed.
   ordb::QueryOptions query_options;
-  query_options.max_memory_bytes = task->request.max_memory_bytes;
-  query_options.query_id = task->server_query_id;
-  query_options.skip_quarantined = task->request.skip_quarantined;
-  if (task->request.deadline_millis > 0) {
-    const auto waited = std::chrono::duration_cast<std::chrono::milliseconds>(
-                            std::chrono::steady_clock::now() -
-                            task->admitted_at)
-                            .count();
-    if (waited >= static_cast<int64_t>(task->request.deadline_millis)) {
-      return {EncodeError(ErrorFromStatus(Status::DeadlineExceeded(
-                  "deadline of " +
-                  std::to_string(task->request.deadline_millis) +
-                  "ms expired after " + std::to_string(waited) +
-                  "ms in the admission queue"))),
-              false};
-    }
+  query_options.max_memory_bytes = task.request.max_memory_bytes;
+  query_options.query_id = task.server_query_id;
+  query_options.skip_quarantined = task.request.skip_quarantined;
+  const int64_t waited = MillisSince(task.admitted_at);
+  if (!task.running ||
+      (task.request.deadline_millis > 0 &&
+       waited >= static_cast<int64_t>(task.request.deadline_millis))) {
+    return {EncodeError(ErrorFromStatus(Status::DeadlineExceeded(
+                "deadline of " + std::to_string(task.request.deadline_millis) +
+                "ms expired after " + std::to_string(waited) +
+                "ms in the admission queue"))),
+            false};
+  }
+  if (task.request.deadline_millis > 0) {
     query_options.deadline_millis =
-        task->request.deadline_millis - static_cast<uint64_t>(waited);
+        task.request.deadline_millis - static_cast<uint64_t>(waited);
   }
 
-  if (task->type == FrameType::kExecute) {
-    Status executed = db_->Execute(task->request.sql, query_options);
+  if (task.type == FrameType::kExecute) {
+    Status executed = db_->Execute(task.request.sql, query_options);
     if (!executed.ok()) {
       return {EncodeError(ErrorFromStatus(executed)), false};
     }
     return {EncodeResultOrError(ResultPayload{}), true};
   }
   Result<ordb::QueryResult> result =
-      db_->Query(task->request.sql, query_options);
+      db_->Query(task.request.sql, query_options);
   if (!result.ok()) {
     return {EncodeError(ErrorFromStatus(result.status())), false};
   }
-  return {EncodeResultOrError(RenderResult(result.value())), true};
-}
-
-void Server::WorkerLoop() {
-  for (;;) {
-    std::shared_ptr<Task> task;
-    {
-      xo::MutexLock lock(&mu_);
-      while (queue_.empty() && !stopping_) {
-        work_cv_.Wait(&mu_);
-      }
-      if (queue_.empty()) return;  // stopping_ and fully drained
-      task = queue_.front();
-      queue_.pop_front();
-      stats_.queue_depth = queue_.size();
-      task->started = true;
-      if (task->cancel_requested) {
-        // Cancelled (or abandoned) while queued: answer without running.
-        task->response = EncodeError(ErrorFromStatus(
-            Status::Cancelled("statement cancelled while queued")));
-        task->done = true;
-        ++stats_.statements_error;
-        FinishTaskLocked(task);
-        continue;
-      }
-    }
-
-    TaskOutcome outcome = RunTask(task.get());
-
-    xo::MutexLock lock(&mu_);
-    if (outcome.ok) {
-      ++stats_.statements_ok;
-    } else {
-      ++stats_.statements_error;
-    }
-    task->response = std::move(outcome.frame);
-    task->done = true;
-    FinishTaskLocked(task);
+  Result<ResultPayload> rendered = RenderResult(result.value());
+  if (!rendered.ok()) {
+    return {EncodeError(ErrorFromStatus(rendered.status())), false};
   }
-}
-
-void Server::FinishTaskLocked(const std::shared_ptr<Task>& task) {
-  tasks_.erase(task->server_query_id);
-  if (task->request.query_id != 0) {
-    auto it = by_client_id_.find(task->request.query_id);
-    if (it != by_client_id_.end() && it->second == task) {
-      by_client_id_.erase(it);
-    }
-  }
-  --in_flight_;
-  done_cv_.SignalAll();
+  return {EncodeResultOrError(rendered.value()), true};
 }
 
 void Server::SendFrame(Connection* conn, std::string_view frame) {
@@ -501,54 +479,39 @@ void Server::Shutdown() {
     if (draining_) {
       // Another thread is mid-shutdown; wait for it to finish.
       while (!shut_down_) {
-        done_cv_.WaitFor(&mu_, kDrainTickMillis);
+        slot_cv_.WaitFor(&mu_, kDisconnectProbeMillis);
       }
       return;
     }
+    // New connections and statements are rejected from here on; the
+    // acceptor keeps probing for disconnects.
     draining_ = true;
   }
 
-  // Stop accepting. The acceptor polls with a short tick and re-checks
-  // draining_, so it exits within one tick; the listener closes after the
-  // join (never while the acceptor might still poll it). When Start()
-  // failed before spawning the acceptor (Listen or BoundPort failed), the
-  // handle is default-constructed and there is nothing to join — joining
-  // it anyway would throw inside the (noexcept) destructor.
-  if (acceptor_.joinable()) acceptor_.join();
-  listener_.Close();
-
-  // Drain: let in-flight statements finish for the grace window.
+  // Drain: let admitted statements finish for the grace window. Every
+  // completion signals slot_cv_ while draining.
   const Deadline drain = Deadline::After(options_.drain_timeout_millis);
-  std::vector<uint64_t> running;
   {
     xo::MutexLock lock(&mu_);
     while (in_flight_ > 0 && !drain.Expired()) {
-      done_cv_.WaitFor(&mu_, kDrainTickMillis);
+      slot_cv_.WaitFor(&mu_, kDisconnectProbeMillis);
     }
-    // Hard timeout: cancel every straggler. Queued tasks die at pickup via
-    // cancel_requested; running ones via their query guard.
-    for (const auto& [id, task] : tasks_) {
-      task->cancel_requested = true;
-      if (task->started && !task->done) {
-        running.push_back(id);
-      }
+    // Hard timeout: cancel every straggler. Waiting tasks wake and answer
+    // kCancelled; the acceptor's next tick fires Database::Cancel at the
+    // running ones.
+    for (const auto& [id, task] : tasks_) task->cancel_requested = true;
+    slot_cv_.SignalAll();
+    // Every admitted statement gets its response before anything closes.
+    while (in_flight_ > 0) {
+      slot_cv_.WaitFor(&mu_, kDisconnectProbeMillis);
     }
-  }
-  for (uint64_t id : running) {
-    Status cancelled = db_->Cancel(id);
-    cancelled.IgnoreError();
-  }
-
-  // Stop the workers. They first drain the (now fully cancelled) queue —
-  // every admitted statement gets a response — then exit.
-  {
-    xo::MutexLock lock(&mu_);
     stopping_ = true;
-    work_cv_.SignalAll();
   }
-  for (std::thread& worker : workers_) {
-    worker.join();
-  }
+  // When Start() failed before spawning the acceptor (Listen or BoundPort
+  // failed), the handle is default-constructed and there is nothing to
+  // join — joining it anyway would throw inside the (noexcept) destructor.
+  if (acceptor_.joinable()) acceptor_.join();
+  listener_.Close();
 
   // End the connections. Read-half only: a thread blocked in its idle
   // header read wakes with EOF and exits, while a thread still sending the
@@ -568,7 +531,7 @@ void Server::Shutdown() {
 
   xo::MutexLock lock(&mu_);
   shut_down_ = true;
-  done_cv_.SignalAll();
+  slot_cv_.SignalAll();
 }
 
 ServerStats Server::server_stats() const {

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -23,18 +22,18 @@ namespace xorator::server {
 
 /// Server configuration. The defaults suit tests and the example binary;
 /// production-shaped loads tune max_connections / worker_threads /
-/// max_queue_depth together (queue depth bounds memory under overload,
-/// worker count bounds engine concurrency).
+/// max_queue_depth together (queue depth bounds the statements waiting
+/// under overload, worker_threads bounds engine concurrency).
 struct ServerOptions {
   /// TCP port on 127.0.0.1 (0 = ephemeral; read the choice via port()).
   uint16_t port = 0;
   /// Admission cap on concurrent connections; excess connections get a
   /// fast kResourceExhausted + retry-after and are closed.
   size_t max_connections = 64;
-  /// Worker threads executing admitted statements against the Database.
+  /// Execution slots: statements running inside the Database at once.
   size_t worker_threads = 4;
-  /// Admission cap on queued statements (in flight = queued + running);
-  /// excess statements get kResourceExhausted + retry-after.
+  /// Admission cap on statements waiting for a slot; excess statements
+  /// get kResourceExhausted + retry-after.
   size_t max_queue_depth = 128;
   /// How long Shutdown() lets in-flight statements drain before
   /// cancelling them.
@@ -56,7 +55,7 @@ struct ServerStats {
   uint64_t connections_rejected = 0;
   uint64_t connections_closed = 0;
   uint64_t active_connections = 0;
-  /// Statements that passed admission into the queue.
+  /// Statements that passed admission (ran at once or waited for a slot).
   uint64_t statements_admitted = 0;
   /// Statements rejected because the queue was at max_queue_depth.
   uint64_t statements_rejected_queue = 0;
@@ -71,47 +70,48 @@ struct ServerStats {
   uint64_t cancelled_on_disconnect = 0;
   /// Frames that failed header or payload decode.
   uint64_t malformed_frames = 0;
-  /// Current and high-water queue depth (queued, not yet picked up).
+  /// Current and high-water queue depth (admitted, waiting for a slot).
   uint64_t queue_depth = 0;
   uint64_t peak_queue_depth = 0;
 };
 
-/// The xorator network front end (DESIGN.md section 17): a thread-pool
-/// socket server speaking the server/protocol.h frame protocol over the
-/// embedded Database.
+/// The xorator network front end (DESIGN.md section 17): a socket server
+/// speaking the server/protocol.h frame protocol over the embedded
+/// Database. The connection thread that decodes a statement runs it under
+/// one of `worker_threads` execution slots and writes the response.
 ///
 /// Robustness contract:
-///   * Admission control — connection count and statement queue depth are
-///     both bounded; excess load is rejected fast with a retryable
-///     kResourceExhausted carrying a retry-after hint, so overload sheds
-///     in microseconds instead of queuing into collapse.
+///   * Admission control — connection count and the number of statements
+///     waiting for a slot are both bounded; excess load is rejected fast
+///     with a retryable kResourceExhausted carrying a retry-after hint, so
+///     overload sheds in microseconds instead of queuing into collapse.
 ///   * Deadline & budget propagation — frame fields become QueryOptions;
-///     the deadline is measured from admission, so time spent queued
-///     counts against it, and a statement whose deadline expired in the
-///     queue is answered kDeadlineExceeded without touching the engine.
+///     the deadline is measured from admission, so slot wait counts
+///     against it, and a statement whose deadline expired while waiting is
+///     answered kDeadlineExceeded without touching the engine.
 ///   * Disconnect cancellation — every admitted statement runs under a
-///     server-assigned QueryGuard id; the connection thread watches the
-///     socket while its statement is in flight and fires Database::Cancel
-///     the moment the client goes away.
+///     server-assigned QueryGuard id; the acceptor probes each busy
+///     connection every tick and cancels the statement of a vanished
+///     client (a waiting one is answered without running).
 ///   * Graceful degradation — mutations are shed at admission with the
 ///     health latch's own status (state, detail, retry-after) while the
 ///     engine is read-only; STATS advertises the degraded state.
 ///   * Drain-then-close shutdown — Shutdown() stops accepting, lets
-///     in-flight statements finish for drain_timeout_millis, then cancels
-///     the stragglers and joins every thread.
+///     in-flight statements finish for drain_timeout_millis, cancels the
+///     stragglers, answers every admitted one and joins every thread.
 ///
 /// Locking: one xo::Mutex at rank kServer — above kStatement, per the
 /// descending-acquire rule, because connection threads call into the
 /// engine. The lock is never held across an engine call (Database::Cancel,
-/// which only touches the engine's leaf guard registry, included); waits
-/// go through xo::CondVar.
+/// which only touches the engine's leaf guard registry, included); slot
+/// waits go through one xo::CondVar.
 ///
 /// Thread safety: Start/Shutdown/port/server_stats are safe from any
 /// thread; Shutdown is idempotent.
 class Server {
  public:
-  /// Binds, listens, and starts the acceptor + worker threads. `db` must
-  /// outlive the returned server.
+  /// Binds, listens, and starts the acceptor thread. `db` must outlive the
+  /// returned server.
   [[nodiscard]] static Result<std::unique_ptr<Server>> Start(
       ordb::Database* db, const ServerOptions& options = {});
 
@@ -132,29 +132,6 @@ class Server {
   [[nodiscard]] ServerStats server_stats() const XO_EXCLUDES(mu_);
 
  private:
-  /// One admitted statement moving through the queue. Shared between the
-  /// owning connection thread and the worker that picks it up; all fields
-  /// after `admitted_at` are guarded by the server lock.
-  struct Task {
-    FrameType type = FrameType::kQuery;
-    QueryRequest request;
-    /// Server-assigned guard id (never 0): every admitted statement is
-    /// cancellable regardless of the client-chosen request.query_id.
-    uint64_t server_query_id = 0;
-    std::chrono::steady_clock::time_point admitted_at{};
-
-    /// Cancel was requested (CANCEL frame or client disconnect) — a worker
-    /// picking the task up answers kCancelled without running it.
-    bool cancel_requested = false;
-    /// The client is gone; the worker still finishes (the engine call is
-    /// already cancelled) but nobody sends the response.
-    bool abandoned = false;
-    bool started = false;
-    bool done = false;
-    /// Encoded response frame, set before done flips true.
-    std::string response;
-  };
-
   /// One live client connection: the socket plus the thread serving it.
   struct Connection {
     Socket socket;
@@ -162,21 +139,52 @@ class Server {
     std::atomic<bool> finished{false};
   };
 
+  /// One admitted statement, on its connection thread's stack (the id maps
+  /// point at it until its completion erases them). The fields before
+  /// `cancel_requested` are immutable once admitted; the rest are guarded
+  /// by the server lock.
+  struct Task {
+    FrameType type = FrameType::kQuery;
+    QueryRequest request;
+    /// Server-assigned guard id (never 0): every admitted statement is
+    /// cancellable regardless of the client-chosen request.query_id.
+    uint64_t server_query_id = 0;
+    std::chrono::steady_clock::time_point admitted_at{};
+    /// The connection whose thread runs it (the disconnect probe's target).
+    Connection* conn = nullptr;
+
+    /// Cancel was requested (CANCEL frame, disconnect or shutdown): a task
+    /// still waiting for a slot is answered kCancelled without running.
+    bool cancel_requested = false;
+    /// The client is gone; nobody sends the response.
+    bool abandoned = false;
+    /// Holds an execution slot (the engine call may be in progress).
+    bool running = false;
+  };
+
   Server(ordb::Database* db, const ServerOptions& options);
 
   /// Acceptor loop: admits or fast-rejects connections, reaps finished
-  /// connection threads.
+  /// connection threads, runs CancelDisconnected every tick.
   void AcceptLoop() XO_EXCLUDES(mu_);
+
+  /// Marks the tasks of vanished clients cancelled and abandoned, and fires
+  /// Database::Cancel at every cancelled slot holder (each tick, since the
+  /// engine may not have registered the statement yet).
+  void CancelDisconnected() XO_EXCLUDES(mu_);
 
   /// Per-connection loop: frame parse, admission, response.
   void ServeConnection(Connection* conn) XO_EXCLUDES(mu_);
 
-  /// Worker loop: pops tasks, runs them against the Database, publishes
-  /// responses.
-  void WorkerLoop() XO_EXCLUDES(mu_);
+  /// Decodes and handles one request frame; an error = a malformed frame.
+  [[nodiscard]] Status ServeFrame(Connection* conn, const FrameHeader& header,
+                                  const std::string& payload) XO_EXCLUDES(mu_);
+
+  /// Bumps stats_.malformed_frames.
+  void CountMalformedFrame() XO_EXCLUDES(mu_);
 
   /// Handles one QUERY/EXECUTE frame on a connection thread: admission,
-  /// queue wait with disconnect watch, response send.
+  /// slot wait, the engine call and the response send.
   void HandleStatement(Connection* conn, FrameType type, QueryRequest request)
       XO_EXCLUDES(mu_);
 
@@ -188,6 +196,10 @@ class Server {
   /// Handles a STATS frame: engine resilience rows + server counters.
   void HandleStats(Connection* conn) XO_EXCLUDES(mu_);
 
+  /// Waits until `task` holds a slot (task->running), was cancelled, or
+  /// its deadline expired.
+  void AcquireSlotLocked(Task* task) XO_REQUIRES(mu_);
+
   /// Result of running one task: the encoded response frame plus whether
   /// the statement succeeded (for the ok/error counters).
   struct TaskOutcome {
@@ -195,14 +207,9 @@ class Server {
     bool ok = false;
   };
 
-  /// Runs one popped task against the Database and encodes the response.
-  /// Called without the server lock (the task's request fields are
-  /// immutable once queued).
-  [[nodiscard]] TaskOutcome RunTask(Task* task);
-
-  /// Completion bookkeeping once a task's `done` flipped true: deregisters
-  /// it, decrements in_flight_, broadcasts done_cv_.
-  void FinishTaskLocked(const std::shared_ptr<Task>& task) XO_REQUIRES(mu_);
+  /// Runs an admitted task against the Database and encodes the response
+  /// (called without the server lock; reads only immutable fields).
+  [[nodiscard]] TaskOutcome RunTask(const Task& task);
 
   /// Sends an encoded frame with the per-frame I/O deadline (best effort:
   /// a send failure just ends the connection).
@@ -218,33 +225,29 @@ class Server {
 
   /// The server lock (rank kServer; see the class comment).
   mutable xo::Mutex mu_{xo::LockRank::kServer};
-  /// Signalled when work arrives or the server starts draining.
-  xo::CondVar work_cv_;
-  /// Broadcast when any task completes (connection threads and Shutdown
-  /// both wait on it).
-  xo::CondVar done_cv_;
+  /// Slot waiters (and a draining Shutdown) wait here; a finished
+  /// statement wakes one waiter, cancels and drain-time completions all.
+  xo::CondVar slot_cv_;
 
-  /// Draining: no new statements, in-flight ones may finish.
+  /// Draining: no new statements, admitted ones may finish.
   bool draining_ XO_GUARDED_BY(mu_) = false;
-  /// Stopping: workers exit once the queue is empty.
+  /// Stopping: every admitted statement was answered; the acceptor exits.
   bool stopping_ XO_GUARDED_BY(mu_) = false;
-  std::deque<std::shared_ptr<Task>> queue_ XO_GUARDED_BY(mu_);
-  /// Queued + running statements (drain waits for this to hit zero).
+  /// Statements holding an execution slot (at most worker_threads).
+  size_t running_ XO_GUARDED_BY(mu_) = 0;
+  /// Admitted, unfinished statements (drain waits for this to hit zero).
   size_t in_flight_ XO_GUARDED_BY(mu_) = 0;
   uint64_t next_server_query_id_ XO_GUARDED_BY(mu_) = 1;
-  /// Every queued or running task by server-assigned id — the shutdown
-  /// path's cancel fan-out. Entries are removed on completion.
-  std::unordered_map<uint64_t, std::shared_ptr<Task>> tasks_
-      XO_GUARDED_BY(mu_);
+  /// Every admitted, unfinished task by server-assigned id (disconnect
+  /// probe and shutdown cancel fan-out).
+  std::unordered_map<uint64_t, Task*> tasks_ XO_GUARDED_BY(mu_);
   /// Client-chosen query_id -> the admitted task, for CANCEL frames from
-  /// other connections. Entries are removed on completion.
-  std::unordered_map<uint64_t, std::shared_ptr<Task>> by_client_id_
-      XO_GUARDED_BY(mu_);
+  /// other connections.
+  std::unordered_map<uint64_t, Task*> by_client_id_ XO_GUARDED_BY(mu_);
   ServerStats stats_ XO_GUARDED_BY(mu_);
 
   std::vector<std::unique_ptr<Connection>> connections_ XO_GUARDED_BY(mu_);
   std::thread acceptor_;
-  std::vector<std::thread> workers_;
   /// Set once Shutdown() has fully run (threads joined).
   bool shut_down_ XO_GUARDED_BY(mu_) = false;
 };

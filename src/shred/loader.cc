@@ -68,11 +68,24 @@ Result<LoadReport> Loader::Load(const std::vector<const xml::Node*>& documents,
   report.used_compression = compress;
 
   Timer timer;
+  Shredder shredder(schema_, compress, options.use_directory);
+  // Ids continue past each table's largest stored id, or Hybrid's joins
+  // would match rows across Load() calls (MAX: DELETE makes the row count
+  // too small). A missing table is left to fail each document at insert.
+  for (const mapping::TableSpec& table : schema_->tables) {
+    const int id = table.RoleIndex(mapping::ColumnRole::kId);
+    if (id < 0 || db_->catalog()->FindTable(table.name) == nullptr) continue;
+    ASSIGN_OR_RETURN(ordb::QueryResult max,
+                     db_->Query("SELECT MAX(" + table.columns[id].name +
+                                ") AS m FROM " + table.name));
+    if (!max.rows.empty() && !max.rows[0][0].is_null()) {
+      shredder.SetNextId(table.name, max.rows[0][0].AsInt() + 1);
+    }
+  }
   // Bind the batch guard thread-locally so the per-row checkpoints inside
   // Database::BulkInsert (and any XADT scans during shredding) poll it;
   // the between-document poll below is the loader's own cadence.
   ordb::ScopedGuardBind bind(options.guard);
-  Shredder shredder(schema_, compress, options.use_directory);
   for (size_t d = 0; d < documents.size(); ++d) {
     // Per-document fault isolation: one bad document (malformed structure,
     // or a storage error while inserting its rows) is recorded and skipped

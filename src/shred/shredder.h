@@ -39,6 +39,9 @@ class Shredder {
   /// Next id that will be assigned for `table` (ids are 1-based).
   int64_t NextId(const std::string& table) const;
 
+  /// Makes `table`'s next id `id` (Loader::Load continues stored ids).
+  void SetNextId(const std::string& table, int64_t id) { next_id_[table] = id; }
+
  private:
   struct TablePlan {
     const mapping::TableSpec* spec = nullptr;

@@ -16,8 +16,8 @@
 ///   datagen/   - synthetic Shakespeare / SIGMOD corpora and a generic
 ///                DTD-driven generator
 ///   xpath/     - path-expression to SQL translation for either mapping
-///   server/    - the network front end: wire protocol, thread-pool socket
-///                server and retrying client (DESIGN.md section 17)
+///   server/    - the network front end: wire protocol, per-connection
+///                socket server and retrying client (DESIGN.md section 17)
 
 #include "common/result.h"
 #include "common/status.h"

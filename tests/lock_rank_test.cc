@@ -326,5 +326,42 @@ TEST(ShardedPoolTest, QuarantineFailFastIsPerBucket) {
   EXPECT_TRUE(pool.IsQuarantined(bad));
 }
 
+// The latch-free quarantine count (read by every SELECT's resilience check)
+// equals the latched stats() sum through quarantine, repeat hits and
+// ClearQuarantine.
+TEST(ShardedPoolTest, QuarantinedPageCountMatchesStats) {
+  MemoryPager pager;
+  std::vector<PageId> ids;
+  {
+    BufferPool seeder(&pager, 64);
+    ids = SeedPages(seeder, 32);
+  }
+  const std::vector<PageId> bad = {ids[3], ids[4], ids[3 + 16]};
+  char garbage[kPageSize];
+  std::memset(garbage, 0xAB, sizeof(garbage));
+  for (PageId id : bad) ASSERT_TRUE(pager.Write(id, garbage).ok());
+
+  BufferPool pool(&pager, 64);
+  EXPECT_EQ(pool.quarantined_page_count(), 0u);
+  uint64_t expected = 0;
+  for (PageId id : bad) {
+    ASSERT_FALSE(pool.Fetch(id).ok());
+    ++expected;
+    EXPECT_EQ(pool.quarantined_page_count(), expected);
+    EXPECT_EQ(pool.quarantined_page_count(), pool.stats().quarantined_pages);
+  }
+  // A fail-fast hit on a quarantined page does not count it twice.
+  ASSERT_FALSE(pool.Fetch(bad[0]).ok());
+  EXPECT_EQ(pool.quarantined_page_count(), bad.size());
+  EXPECT_EQ(pool.quarantined_page_count(), pool.stats().quarantined_pages);
+
+  pool.ClearQuarantine();
+  EXPECT_EQ(pool.quarantined_page_count(), 0u);
+  EXPECT_EQ(pool.stats().quarantined_pages, 0u);
+  ASSERT_FALSE(pool.Fetch(bad[1]).ok());
+  EXPECT_EQ(pool.quarantined_page_count(), 1u);
+  EXPECT_EQ(pool.quarantined_page_count(), pool.stats().quarantined_pages);
+}
+
 }  // namespace
 }  // namespace xorator::ordb

@@ -1,17 +1,20 @@
 // End-to-end tests of the network front end (DESIGN.md section 17): the
-// thread-pool socket server (src/server/server.h), the wire protocol, and
+// socket server (src/server/server.h), the wire protocol, and
 // the retrying client — exercised over real loopback sockets against a
 // live Database.
 //
 // The robustness contract under test:
 //   * admission control (connection cap + bounded statement queue) rejects
 //     excess load fast with a retryable kResourceExhausted + retry-after;
+//   * at most worker_threads statements run inside the engine at once;
 //   * deadlines propagate from the frame into the engine's query guard,
-//     measured from admission so queue wait counts;
-//   * a client that disconnects mid-query gets its statement cancelled;
+//     measured from admission so slot wait counts;
+//   * a client that disconnects gets its statement cancelled, whether it
+//     runs or waits for a slot;
 //   * mutations are shed with the health latch's own status while the
 //     engine is read-only, and STATS advertises the degraded state;
-//   * Shutdown() drains in-flight statements before closing.
+//   * Shutdown() drains in-flight statements before closing and answers
+//     every admitted one.
 //
 // The ServerSoakTest at the bottom is the server leg of the chaos-soak CI
 // job: N client threads fire the paper's query mix plus bulk loads, random
@@ -21,6 +24,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -46,6 +50,7 @@
 #include "server/net.h"
 #include "server/protocol.h"
 #include "server/server.h"
+#include "xadt/functions.h"
 
 namespace xorator {
 namespace {
@@ -113,6 +118,56 @@ std::unique_ptr<ordb::Database> MakeDb() {
   return db;
 }
 
+/// A gate UDF that blocks its statement until the test opens it (the 10 s
+/// timeout turns a wedged test into a clean failure). It also counts its
+/// calls and the most calls inside it at once.
+struct Gate {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool open = false;
+  int calls = 0;
+  int inside = 0;
+  int peak_inside = 0;
+
+  void Open() {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      open = true;
+    }
+    cv.notify_all();
+  }
+  int Calls() {
+    std::lock_guard<std::mutex> lock(mu);
+    return calls;
+  }
+  int PeakInside() {
+    std::lock_guard<std::mutex> lock(mu);
+    return peak_inside;
+  }
+};
+
+/// Registers `gate(x)` on `db`, backed by `gate`.
+std::shared_ptr<Gate> RegisterGate(ordb::Database* db) {
+  auto gate = std::make_shared<Gate>();
+  ordb::ScalarFunction fn;
+  fn.name = "gate";
+  fn.return_type = ordb::TypeId::kInteger;
+  fn.arity = 1;
+  fn.impl =
+      [gate](const std::vector<ordb::Value>& args) -> Result<ordb::Value> {
+    std::unique_lock<std::mutex> lock(gate->mu);
+    ++gate->calls;
+    gate->peak_inside = std::max(gate->peak_inside, ++gate->inside);
+    const bool opened = gate->cv.wait_for(lock, std::chrono::seconds(10),
+                                          [&gate] { return gate->open; });
+    --gate->inside;
+    if (!opened) return Status::Internal("gate timed out");
+    return args[0];
+  };
+  EXPECT_TRUE(db->functions()->RegisterScalar(std::move(fn)).ok());
+  return gate;
+}
+
 ClientOptions ClientFor(const Server& srv, int max_retries = 0) {
   ClientOptions options;
   options.port = srv.port();
@@ -158,6 +213,40 @@ TEST(ServerTest, QueryRoundTripMatchesDirect) {
   EXPECT_EQ(stats.statements_admitted, 1u);
   EXPECT_EQ(stats.statements_ok, 1u);
   EXPECT_EQ(stats.statements_error, 0u);
+}
+
+TEST(ServerTest, XadtValuesTravelAsXmlText) {
+  auto db = MakeDb();
+  ASSERT_TRUE(xadt::RegisterXadtFunctions(db->functions()).ok());
+  ASSERT_TRUE(db->Execute("CREATE TABLE frag (id INTEGER, x XADT)").ok());
+  ASSERT_TRUE(db->Execute("INSERT INTO frag VALUES (1, "
+                          "'<LINE>to be</LINE><LINE>or not</LINE>')")
+                  .ok());
+  auto started = Server::Start(db.get());
+  ASSERT_TRUE(started.ok()) << started.status().ToString();
+  std::unique_ptr<Server> srv = std::move(*started);
+
+  // A bare getElm select returns the fragment's XML text, exactly what
+  // xadtToXml gives in process.
+  const std::string getelm = "getElm(x, 'LINE', 'LINE', 'be')";
+  auto direct = db->Query("SELECT xadtToXml(" + getelm + ") FROM frag");
+  ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+  ASSERT_EQ(direct->rows.size(), 1u);
+  EXPECT_EQ(direct->rows[0][0].AsString(), "<LINE>to be</LINE>");
+
+  Client client(ClientFor(*srv));
+  auto remote = client.Query("SELECT " + getelm + " FROM frag");
+  ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+  ASSERT_EQ(remote->rows.size(), 1u);
+  EXPECT_EQ(remote->rows[0][0], direct->rows[0][0].AsString());
+
+  // A stored fragment that does not decode is an ERROR frame, not bytes.
+  ordb::Tuple bad = {ordb::Value::Int(2), ordb::Value::Xadt("Zgarbage")};
+  ASSERT_TRUE(db->BulkInsert("frag", {bad}).ok());
+  auto broken = client.Query("SELECT x FROM frag WHERE id = 2");
+  ASSERT_FALSE(broken.ok());
+  EXPECT_FALSE(broken.status().IsRetryable()) << broken.status().ToString();
+  EXPECT_EQ(srv->server_stats().statements_error, 1u);
 }
 
 TEST(ServerTest, ExecuteAppliesMutationsAndErrorsTravelTheWire) {
@@ -224,29 +313,7 @@ TEST(ServerTest, ConnectionCapRejectsFastWithRetryableHint) {
 
 TEST(ServerTest, QueueCapRejectsAndQueueWaitCountsAgainstTheDeadline) {
   auto db = MakeDb();
-
-  // A gate UDF that blocks its statement until the test releases it (the
-  // 10 s timeout turns a wedged test into a clean failure).
-  struct Gate {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool open = false;
-  };
-  auto gate = std::make_shared<Gate>();
-  ordb::ScalarFunction fn;
-  fn.name = "gate";
-  fn.return_type = ordb::TypeId::kInteger;
-  fn.arity = 1;
-  fn.impl =
-      [gate](const std::vector<ordb::Value>& args) -> Result<ordb::Value> {
-    std::unique_lock<std::mutex> lock(gate->mu);
-    if (!gate->cv.wait_for(lock, std::chrono::seconds(10),
-                           [&gate] { return gate->open; })) {
-      return Status::Internal("gate timed out");
-    }
-    return args[0];
-  };
-  ASSERT_TRUE(db->functions()->RegisterScalar(std::move(fn)).ok());
+  std::shared_ptr<Gate> gate = RegisterGate(db.get());
 
   ServerOptions options;
   options.worker_threads = 1;
@@ -256,7 +323,7 @@ TEST(ServerTest, QueueCapRejectsAndQueueWaitCountsAgainstTheDeadline) {
   ASSERT_TRUE(started.ok()) << started.status().ToString();
   std::unique_ptr<Server> srv = std::move(*started);
 
-  // First statement occupies the only worker inside the gate.
+  // First statement occupies the only execution slot inside the gate.
   std::thread blocked([&] {
     Client client(ClientFor(*srv));
     auto r = client.Query("SELECT gate(a) FROM t");
@@ -268,7 +335,7 @@ TEST(ServerTest, QueueCapRejectsAndQueueWaitCountsAgainstTheDeadline) {
         return s.statements_admitted == 1 && s.queue_depth == 0;
       },
       5000))
-      << "first statement never reached the worker";
+      << "first statement never reached the engine";
 
   // Second statement fills the queue (depth 1 = the cap) with a 60 ms
   // deadline that will expire while it waits.
@@ -301,11 +368,7 @@ TEST(ServerTest, QueueCapRejectsAndQueueWaitCountsAgainstTheDeadline) {
 
   // Hold the gate past the queued statement's deadline, then release.
   std::this_thread::sleep_for(std::chrono::milliseconds(80));
-  {
-    std::lock_guard<std::mutex> lock(gate->mu);
-    gate->open = true;
-  }
-  gate->cv.notify_all();
+  gate->Open();
   blocked.join();
   queued.join();
 
@@ -350,7 +413,7 @@ TEST(ServerTest, DisconnectMidQueryCancelsTheStatement) {
 
   // Raw socket: send the slow query, then vanish without reading the
   // response. The connection thread's disconnect probe must fire
-  // Database::Cancel instead of burning a worker for nobody.
+  // Database::Cancel instead of burning a slot for nobody.
   {
     auto connected = server::Connect("127.0.0.1", srv->port(),
                                      server::Deadline::After(1000));
@@ -417,6 +480,103 @@ TEST(ServerTest, CancelReachesAcrossConnections) {
       << "cancel never found the statement";
   victim.join();
   EXPECT_EQ(db->buffer_pool()->PinnedFrameCount(), 0u);
+}
+
+// -- Execution slots. --------------------------------------------------------
+
+TEST(ServerTest, AtMostWorkerThreadsStatementsRunAtOnce) {
+  auto db = MakeDb();
+  std::shared_ptr<Gate> gate = RegisterGate(db.get());
+  ServerOptions options;
+  options.worker_threads = 2;
+  auto started = Server::Start(db.get(), options);
+  ASSERT_TRUE(started.ok()) << started.status().ToString();
+  std::unique_ptr<Server> srv = std::move(*started);
+
+  // Five one-row gate statements on five connections: two hold the slots
+  // inside the gate, three wait for one.
+  constexpr int kStatements = 5;
+  std::vector<std::thread> clients;
+  for (int i = 0; i < kStatements; ++i) {
+    clients.emplace_back([&] {
+      Client client(ClientFor(*srv));
+      auto r = client.Query("SELECT gate(a) AS g FROM t WHERE a = 1");
+      EXPECT_TRUE(r.ok()) << r.status().ToString();
+    });
+  }
+  ASSERT_TRUE(PollUntil(
+      [&] {
+        const ServerStats s = srv->server_stats();
+        return s.statements_admitted == kStatements && s.queue_depth == 3;
+      },
+      5000))
+      << "statements never lined up behind the two slots";
+  // Give a (wrong) third runner time to reach the gate.
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  EXPECT_EQ(gate->Calls(), 2);
+
+  gate->Open();
+  for (std::thread& c : clients) c.join();
+  EXPECT_EQ(gate->Calls(), kStatements);
+  EXPECT_EQ(gate->PeakInside(), 2);
+  const ServerStats stats = srv->server_stats();
+  EXPECT_EQ(stats.statements_ok, static_cast<uint64_t>(kStatements));
+  EXPECT_EQ(stats.peak_queue_depth, 3u);
+  EXPECT_EQ(stats.queue_depth, 0u);
+}
+
+TEST(ServerTest, DisconnectWhileWaitingForASlotAnswersWithoutRunning) {
+  auto db = MakeDb();
+  std::shared_ptr<Gate> gate = RegisterGate(db.get());
+  ServerOptions options;
+  options.worker_threads = 1;
+  auto started = Server::Start(db.get(), options);
+  ASSERT_TRUE(started.ok()) << started.status().ToString();
+  std::unique_ptr<Server> srv = std::move(*started);
+
+  std::thread holder([&] {
+    Client client(ClientFor(*srv));
+    auto r = client.Query("SELECT gate(a) AS g FROM t WHERE a = 1");
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+  });
+  ASSERT_TRUE(PollUntil([&] { return gate->Calls() == 1; }, 5000));
+
+  // A raw client sends a second gate statement, which waits for the slot,
+  // and vanishes.
+  {
+    auto connected = server::Connect("127.0.0.1", srv->port(),
+                                     server::Deadline::After(1000));
+    ASSERT_TRUE(connected.ok()) << connected.status().ToString();
+    server::Socket socket = std::move(*connected);
+    server::QueryRequest request;
+    request.sql = "SELECT gate(a) AS g FROM t WHERE a = 2";
+    ASSERT_TRUE(
+        server::WriteFull(
+            socket,
+            server::EncodeQueryRequest(server::FrameType::kQuery, request),
+            server::Deadline::After(1000))
+            .ok());
+    ASSERT_TRUE(
+        PollUntil([&] { return srv->server_stats().queue_depth == 1; }, 5000));
+  }  // socket closes here, while the statement waits
+
+  // The acceptor's probe notices, and the waiter is answered (as an error)
+  // without entering the engine, while the slot is still held.
+  EXPECT_TRUE(PollUntil(
+      [&] {
+        const ServerStats s = srv->server_stats();
+        return s.cancelled_on_disconnect == 1 && s.statements_error == 1;
+      },
+      5000))
+      << "waiting statement of a vanished client was never answered";
+  EXPECT_EQ(srv->server_stats().queue_depth, 0u);
+
+  gate->Open();
+  holder.join();
+  EXPECT_EQ(gate->Calls(), 1) << "the abandoned statement ran";
+  const ServerStats stats = srv->server_stats();
+  EXPECT_EQ(stats.statements_ok, 1u);
+  EXPECT_EQ(stats.statements_admitted, 2u);
 }
 
 // -- Graceful degradation. --------------------------------------------------
@@ -746,6 +906,50 @@ TEST(ServerTest, ShutdownDrainsInFlightStatements) {
   EXPECT_FALSE(late.Query("SELECT a FROM t").ok());
 }
 
+TEST(ServerTest, ShutdownAnswersEveryWaitingStatement) {
+  auto db = MakeDb();
+  ServerOptions options;
+  options.worker_threads = 1;
+  options.drain_timeout_millis = 50;
+  auto started = Server::Start(db.get(), options);
+  ASSERT_TRUE(started.ok()) << started.status().ToString();
+  std::unique_ptr<Server> srv = std::move(*started);
+
+  // One slow scan holds the only slot; two more statements wait for it.
+  // None can finish inside the 50 ms drain window, so Shutdown cancels all
+  // three, and each client still gets its answer.
+  std::atomic<int> answered{0};
+  std::vector<std::thread> clients;
+  for (int i = 0; i < 3; ++i) {
+    clients.emplace_back([&] {
+      Client client(ClientFor(*srv));
+      auto r = client.Query(kSlowSql);
+      EXPECT_FALSE(r.ok());
+      EXPECT_EQ(r.status().code(), StatusCode::kCancelled)
+          << r.status().ToString();
+      answered.fetch_add(1);
+    });
+    if (i == 0) {
+      ASSERT_TRUE(PollUntil(
+          [&] { return srv->server_stats().statements_admitted == 1; },
+          5000));
+    }
+  }
+  ASSERT_TRUE(
+      PollUntil([&] { return srv->server_stats().queue_depth == 2; }, 5000))
+      << "statements never waited for the slot";
+
+  srv->Shutdown();
+  for (std::thread& c : clients) c.join();
+  EXPECT_EQ(answered.load(), 3);
+  const ServerStats stats = srv->server_stats();
+  EXPECT_EQ(stats.statements_admitted, 3u);
+  EXPECT_EQ(stats.statements_error, 3u);
+  EXPECT_EQ(stats.queue_depth, 0u);
+  EXPECT_EQ(stats.active_connections, 0u);
+  EXPECT_EQ(db->buffer_pool()->PinnedFrameCount(), 0u);
+}
+
 // -- The server chaos soak (the chaos-soak CI job's server leg). ------------
 
 class ServerSoakTest : public ::testing::Test {
@@ -810,7 +1014,7 @@ TEST_F(ServerSoakTest, HostileMixedLoadKeepsEveryInvariant) {
       db->Execute("CREATE TABLE soak_scratch (a INTEGER, b VARCHAR)").ok());
 
   // Deliberately small caps so the soak actually exercises the rejection
-  // paths: more client threads than workers, a shallow queue.
+  // paths: more client threads than execution slots, a shallow queue.
   ServerOptions options;
   options.max_connections = threads + 2;
   options.worker_threads = 3;
@@ -934,7 +1138,7 @@ TEST_F(ServerSoakTest, HostileMixedLoadKeepsEveryInvariant) {
   EXPECT_EQ(unexpected.load(), 0) << first_unexpected;
 
   // Every admitted statement terminates: the ok/error counters catch up to
-  // admissions once the workers finish the tail.
+  // admissions once the slot holders finish the tail.
   EXPECT_TRUE(PollUntil(
       [&] {
         const ServerStats s = srv->server_stats();

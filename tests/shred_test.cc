@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "benchutil/fixture.h"
 #include "datagen/dtds.h"
 #include "shred/loader.h"
@@ -280,6 +282,57 @@ TEST(LoaderTest, LoadsAndDecidesCompression) {
   auto r = (*db)->Query("SELECT COUNT(*) AS n FROM speech");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->rows[0][0].AsInt(), 24);
+}
+
+TEST(LoaderTest, LaterLoadsContinueEveryTablesIds) {
+  auto schema = MapDtd(datagen::kPlaysDtd, Mapping::kHybrid);
+  ASSERT_TRUE(schema.ok());
+  auto opened = ordb::Database::Open({});
+  ASSERT_TRUE(opened.ok());
+  ordb::Database* db = opened->get();
+  Loader loader(db, &*schema);
+  ASSERT_TRUE(loader.CreateTables().ok());
+  auto doc = xml::ParseDocument(kPlayDoc);
+  ASSERT_TRUE(doc.ok());
+  for (int batch = 0; batch < 2; ++batch) {
+    auto report = loader.Load({doc->root.get()});
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    ASSERT_EQ(report->documents, 1u);
+  }
+
+  // Every table's ids stay unique across the two batches.
+  for (const mapping::TableSpec& table : schema->tables) {
+    std::string id_col;
+    for (const mapping::ColumnSpec& col : table.columns) {
+      if (col.role == mapping::ColumnRole::kId) id_col = col.name;
+    }
+    ASSERT_FALSE(id_col.empty()) << table.name;
+    auto ids = db->Query("SELECT " + id_col + " FROM " + table.name);
+    ASSERT_TRUE(ids.ok()) << ids.status().ToString();
+    std::set<int64_t> distinct;
+    for (const Tuple& row : ids->rows) distinct.insert(row[0].AsInt());
+    EXPECT_EQ(distinct.size(), ids->rows.size()) << table.name;
+  }
+
+  // Each document has two speeches inside scenes, so the parent/child join
+  // matches two rows per batch, not a cross-batch product.
+  const std::string scene_speeches =
+      "SELECT COUNT(*) AS n FROM scene, speech WHERE speech_parentID = "
+      "sceneID AND speech_parentCODE = 'SCENE'";
+  auto joined = db->Query(scene_speeches);
+  ASSERT_TRUE(joined.ok()) << joined.status().ToString();
+  EXPECT_EQ(joined->rows[0][0].AsInt(), 4);
+
+  // Ids continue past the largest stored id, which a DELETE leaves above
+  // the row count.
+  ASSERT_TRUE(db->Execute("DELETE FROM play WHERE playID = 1").ok());
+  auto report = loader.Load({doc->root.get()});
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  auto plays = db->Query("SELECT playID FROM play");
+  ASSERT_TRUE(plays.ok()) << plays.status().ToString();
+  std::set<int64_t> play_ids;
+  for (const Tuple& row : plays->rows) play_ids.insert(row[0].AsInt());
+  EXPECT_EQ(play_ids, (std::set<int64_t>{2, 3}));
 }
 
 TEST(LoaderTest, ForcedCompressionModes) {
